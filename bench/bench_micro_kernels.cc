@@ -41,7 +41,8 @@ void BM_Conv2dForward(benchmark::State& state) {
 BENCHMARK(BM_Conv2dForward)->Arg(16)->Arg(24);
 
 void BM_Conv2dForwardBatched(benchmark::State& state) {
-  // Per-sample amortization of the batched im2col + one-GEMM lowering:
+  // Per-sample amortization of the batched implicit-GEMM lowering (one
+  // GEMM over B*OH*OW columns gathered panel by panel from the input):
   // compare items_per_second across B at a fixed spatial size.
   NoGradGuard guard;
   Rng rng(5);

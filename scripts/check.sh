@@ -14,10 +14,11 @@
 #      paths (torn writes, NaN losses, degraded serving) run under both
 #      sanitizers so the error paths themselves are memory/UB clean;
 #   5. smoke-tests DOT_FAILPOINTS environment arming end to end;
-#   6. kernel test matrix: re-runs tier1 + the differential GEMM harness
-#      under DOT_GEMM_KERNEL=naive, blocked, and simd on the ASan+UBSan
-#      build (simd degrades to blocked gracefully on CPUs without AVX2+FMA,
-#      and the simd-only differential cases GTEST_SKIP themselves);
+#   6. kernel test matrix: re-runs tier1 + the differential GEMM and
+#      implicit-conv harnesses under DOT_GEMM_KERNEL=naive, blocked, and
+#      simd on the ASan+UBSan build (simd degrades to blocked gracefully
+#      on CPUs without AVX2+FMA, and the simd-only differential cases
+#      GTEST_SKIP themselves);
 #   7. storage-pool matrix on the ASan+UBSan build: tier1 + the alias/pool
 #      suite with the pool ON and poison-on-return active (reads of
 #      recycled-but-unwritten buffers surface as NaNs), then once with
@@ -41,7 +42,8 @@
 #      shard via POST /swapz, export well-formed per-shard labeled
 #      metrics, and drain with lost=0;
 #  11. int8 quantized-path gate (DESIGN.md §5j): the full tier1 suite plus
-#      the quantization-primitive tests and the differential GEMM wall run
+#      the quantization-primitive tests and the differential GEMM and
+#      implicit-conv walls run
 #      under ASan+UBSan for DOT_GEMM_PRECISION=fp32 and =int8 across every
 #      DOT_GEMM_KERNEL (the int8 packing/microkernel/dequant code paths are
 #      all sanitizer-exercised), then a loopback dot_server smoke with
@@ -139,6 +141,11 @@ for KERNEL in naive blocked simd; do
   if ! DOT_GEMM_KERNEL="$KERNEL" "$BUILD_ASAN"/tests/gemm_differential_test \
       > /dev/null; then
     echo "CHECK FAILED: gemm_differential_test (DOT_GEMM_KERNEL=$KERNEL)"
+    FAILED=1
+  fi
+  if ! DOT_GEMM_KERNEL="$KERNEL" "$BUILD_ASAN"/tests/conv_differential_test \
+      > /dev/null; then
+    echo "CHECK FAILED: conv_differential_test (DOT_GEMM_KERNEL=$KERNEL)"
     FAILED=1
   fi
 done
@@ -489,6 +496,11 @@ for PRECISION in fp32 int8; do
     if ! DOT_GEMM_PRECISION="$PRECISION" DOT_GEMM_KERNEL="$KERNEL" \
         "$BUILD_ASAN"/tests/gemm_differential_test > /dev/null; then
       echo "CHECK FAILED: gemm_differential_test (precision=$PRECISION, kernel=$KERNEL)"
+      FAILED=1
+    fi
+    if ! DOT_GEMM_PRECISION="$PRECISION" DOT_GEMM_KERNEL="$KERNEL" \
+        "$BUILD_ASAN"/tests/conv_differential_test > /dev/null; then
+      echo "CHECK FAILED: conv_differential_test (precision=$PRECISION, kernel=$KERNEL)"
       FAILED=1
     fi
   done

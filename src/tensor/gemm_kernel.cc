@@ -69,6 +69,7 @@ int64_t RoundUp(int64_t a, int64_t b) { return CeilDiv(a, b) * b; }
 /// 64-byte-aligned scratch buffer (cache-line aligned packed panels).
 struct AlignedBuffer {
   explicit AlignedBuffer(int64_t floats) {
+    if (floats <= 0) return;
     void* p = nullptr;
     if (posix_memalign(&p, 64, static_cast<size_t>(floats) * sizeof(float)) != 0) {
       p = nullptr;
@@ -454,31 +455,163 @@ MicroKernel SimdMicro() {
   return ScalarMicro();  // unreachable when callers check SimdMicroAvailable()
 }
 
+// ---- Im2col gather ----------------------------------------------------------
+// The one im2col routine. The implicit conv packs each B panel through it
+// and Im2Col materializes the whole matrix through it, so every conv route
+// sees the same values in the same k order.
+
+/// The conv input zero-padded by g.pad on every side, [n, c, h+2p, w+2p]:
+/// every tap of the padded image is in range, so the gather copies spans
+/// without bounds logic. With pad 0 it is x itself. row_off[r] is the
+/// offset of im2col row r's tap (c, kh, kw) from a span's base. Per-call
+/// scratch, a fraction of the column matrix it stands in for.
+struct PaddedInput {
+  PaddedInput(const ConvGeom& g, const float* x)
+      : hp(g.h + 2 * g.pad),
+        wp(g.w + 2 * g.pad),
+        buf(g.pad > 0 ? g.n * g.c * hp * wp : 0),
+        data(g.pad > 0 ? buf.data : x),
+        row_off(static_cast<size_t>(g.ckk())) {
+    size_t r = 0;
+    for (int64_t c = 0; c < g.c; ++c) {
+      for (int64_t i = 0; i < g.kh; ++i) {
+        for (int64_t j = 0; j < g.kw; ++j) row_off[r++] = (c * hp + i) * wp + j;
+      }
+    }
+    if (g.pad == 0) return;
+    const int64_t pad = g.pad;
+    // One (sample, channel) plane per item: disjoint writes.
+    ParallelFor(
+        ThreadPool::Global(), g.n * g.c,
+        [&](int64_t begin, int64_t end) {
+          for (int64_t i = begin; i < end; ++i) {
+            float* dst = buf.data + i * hp * wp;
+            const float* src = x + i * g.h * g.w;
+            std::fill(dst, dst + hp * wp, 0.0f);
+            for (int64_t r = 0; r < g.h; ++r) {
+              std::copy(src + r * g.w, src + (r + 1) * g.w,
+                        dst + (pad + r) * wp + pad);
+            }
+          }
+        },
+        std::max<int64_t>(1, 4096 / (hp * wp)));
+  }
+  const int64_t hp, wp;
+  AlignedBuffer buf;
+  const float* data;
+  std::vector<int64_t> row_off;
+};
+
+/// d[r * ld + t] = src[roff[r] + t * stride] for r < rows, t < len.
+inline void CopySpanRows(const float* src, const int64_t* roff, int64_t stride,
+                         int64_t len, int64_t rows, float* d, int64_t ld) {
+#if defined(DOT_GEMM_HAVE_AVX512)
+  // Spans are one output row, mostly shorter than a library memcpy call
+  // is worth: up to 32 floats move as one or two vectors under lane masks
+  // fixed for the whole span.
+  if (stride == 1 && len <= 16) {
+    const __mmask16 mask = static_cast<__mmask16>((1u << len) - 1);
+    for (int64_t r = 0; r < rows; ++r) {
+      _mm512_mask_storeu_ps(d + r * ld, mask,
+                            _mm512_maskz_loadu_ps(mask, src + roff[r]));
+    }
+    return;
+  }
+  if (stride == 1 && len <= 32) {
+    const __mmask16 tail = static_cast<__mmask16>((1u << (len - 16)) - 1);
+    for (int64_t r = 0; r < rows; ++r) {
+      const float* s = src + roff[r];
+      float* o = d + r * ld;
+      _mm512_storeu_ps(o, _mm512_loadu_ps(s));
+      _mm512_mask_storeu_ps(o + 16, tail, _mm512_maskz_loadu_ps(tail, s + 16));
+    }
+    return;
+  }
+#endif
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* s = src + roff[r];
+    float* o = d + r * ld;
+    for (int64_t t = 0; t < len; ++t) o[t] = s[t * stride];
+  }
+}
+
+/// Writes rows [r0, r0+rows) x columns [j0, j0+cols) of the im2col matrix
+/// to dst (row stride ld). The columns are cut into spans of one (sample,
+/// output row) each; a span reads the same strided run of the padded input
+/// for every row, shifted by the row's tap offset.
+void GatherIm2Col(const ConvGeom& g, const PaddedInput& xp, int64_t r0,
+                  int64_t rows, int64_t j0, int64_t cols, float* dst,
+                  int64_t ld) {
+  const int64_t ohw = g.ohw(), plane = xp.hp * xp.wp;
+  const int64_t* roff = xp.row_off.data() + r0;
+  int64_t b = j0 / ohw, oh = (j0 % ohw) / g.ow, ow = j0 % g.ow;
+  for (int64_t cc = 0; cc < cols;) {
+    const int64_t len = std::min(g.ow - ow, cols - cc);
+    const float* base = xp.data + b * g.c * plane + oh * g.stride * xp.wp +
+                        ow * g.stride;
+    CopySpanRows(base, roff, g.stride, len, rows, dst + cc, ld);
+    cc += len;
+    ow = 0;
+    if (++oh == g.oh) {
+      oh = 0;
+      ++b;
+    }
+  }
+}
+
 // ---- Blocked engine ---------------------------------------------------------
+
+/// Implicit-GEMM conv operands (RunBlockedEngine's conv mode): op(B) is the
+/// im2col matrix of `x`, gathered panel by panel, and column j of C lives
+/// in sample j / ohw of the [n, m, ohw] output. `bias` (null adds 0.0f) is
+/// added to each element when its last KC block lands.
+struct ConvIO {
+  const ConvGeom* g;
+  const PaddedInput* xp;
+  const float* bias;
+};
 
 void RunBlockedEngine(Layout layout, const float* a, const float* b, float* c,
                       int64_t m, int64_t k, int64_t n, bool accumulate,
-                      const MicroKernel& uk) {
+                      const MicroKernel& uk, const ConvIO* conv = nullptr) {
   const int64_t mr = uk.mr, nr = uk.nr;
   const int64_t mc_max = RoundUp(kMCBase, mr);
   const int64_t nc_max = RoundUp(kNCBase, nr);
+  // Row i of C starts at c + i * ldc; each tile maps its columns into the
+  // row through ColRun runs (below).
+  const int64_t ohw = conv ? conv->g->ohw() : 0;
+  const int64_t ldc = conv ? ohw : n;
   ThreadPool* pool = ThreadPool::Global();
-  AlignedBuffer bpack(kKC * nc_max);
+  // Packing buffers cover the product, not the block maxima: small
+  // products (stage-2 Linear layers, attention) stay small allocations.
+  const int64_t kc_alloc = std::min(k, kKC);
+  const int64_t mc_alloc = std::min(mc_max, RoundUp(m, mr));
+  AlignedBuffer bpack(kc_alloc * std::min(nc_max, RoundUp(n, nr)));
   for (int64_t jc = 0; jc < n; jc += nc_max) {
     const int64_t nc = std::min(nc_max, n - jc);
     const int64_t n_panels = CeilDiv(nc, nr);
     for (int64_t pc = 0; pc < k; pc += kKC) {
       const int64_t kc = std::min(kKC, k - pc);
       const bool first = (pc == 0) && !accumulate;
+      const bool epilogue = conv != nullptr && pc + kc == k;
       // Pack the B block. Panels are disjoint writes, so the partitioning
       // cannot affect the packed bytes.
       ParallelFor(
           pool, n_panels,
           [&](int64_t pb, int64_t pe) {
             for (int64_t pj = pb; pj < pe; ++pj) {
-              PackBPanel(b, layout, k, n, pc, kc, jc + pj * nr,
-                         std::min(nr, nc - pj * nr), nr,
-                         bpack.data + pj * nr * kc);
+              const int64_t j0 = jc + pj * nr;
+              const int64_t cols = std::min(nr, nc - pj * nr);
+              float* dst = bpack.data + pj * nr * kc;
+              if (conv == nullptr) {
+                PackBPanel(b, layout, k, n, pc, kc, j0, cols, nr, dst);
+                continue;
+              }
+              GatherIm2Col(*conv->g, *conv->xp, pc, kc, j0, cols, dst, nr);
+              if (cols < nr) {
+                for (int64_t p = 0; p < kc; ++p)
+                  std::fill(dst + p * nr + cols, dst + (p + 1) * nr, 0.0f);
+              }
             }
           },
           /*min_chunk=*/4);
@@ -488,7 +621,7 @@ void RunBlockedEngine(Layout layout, const float* a, const float* b, float* c,
       ParallelFor(
           pool, m_blocks,
           [&](int64_t bb, int64_t be) {
-            AlignedBuffer apack(mc_max * kKC);
+            AlignedBuffer apack(mc_alloc * kc_alloc);
             alignas(64) float acc[kMaxMR * kMaxNR];
             for (int64_t ib = bb; ib < be; ++ib) {
               const int64_t ic = ib * mc_max;
@@ -500,34 +633,79 @@ void RunBlockedEngine(Layout layout, const float* a, const float* b, float* c,
                            apack.data + pi * mr * kc);
               }
               for (int64_t pj = 0; pj < n_panels; ++pj) {
+                const int64_t j = jc + pj * nr;
                 const int64_t nrr = std::min(nr, nc - pj * nr);
                 const float* bp = bpack.data + pj * nr * kc;
+                // The tile's columns as runs contiguous in C: tile columns
+                // [jj, jj+len) sit at c + i * ldc + off. A plain tile is one
+                // run; a conv tile splits where it enters the next sample.
+                struct ColRun {
+                  int64_t jj, len, off;
+                };
+                ColRun runs[kMaxNR];
+                int n_runs = 0;
+                if (conv == nullptr) {
+                  runs[n_runs++] = {0, nrr, j};
+                } else {
+                  int64_t s = j / ohw, p = j - s * ohw;
+                  for (int64_t jj = 0; jj < nrr; p = 0, ++s) {
+                    const int64_t len = std::min(nrr - jj, ohw - p);
+                    runs[n_runs++] = {jj, len, s * m * ohw + p};
+                    jj += len;
+                  }
+                }
                 for (int64_t pi = 0; pi < m_panels; ++pi) {
+                  const int64_t row0 = ic + pi * mr;
                   const int64_t mrr = std::min(mr, mc - pi * mr);
                   const float* ap = apack.data + pi * mr * kc;
-                  float* cdst = c + (ic + pi * mr) * n + jc + pj * nr;
-                  if (mrr == mr && nrr == nr) {
-                    uk.fn(kc, ap, bp, cdst, n, first);
+                  float* crow = c + row0 * ldc;
+                  auto bias_of = [&](int64_t r) {
+                    return conv->bias ? conv->bias[row0 + r] : 0.0f;
+                  };
+                  if (mrr == mr && nrr == nr && n_runs == 1) {
+                    float* cdst = crow + runs[0].off;
+                    uk.fn(kc, ap, bp, cdst, ldc, first);
+                    if (epilogue) {
+                      for (int64_t r = 0; r < mr; ++r) {
+                        const float bv = bias_of(r);
+                        for (int64_t jj = 0; jj < nr; ++jj)
+                          cdst[r * ldc + jj] += bv;
+                      }
+                    }
                     continue;
                   }
-                  // Edge tile: run the microkernel on a padded scratch tile
-                  // seeded with the live C values, so each element sees
-                  // exactly the full-tile arithmetic. Merging a zero-based
-                  // partial instead would round differently on later KC
-                  // blocks, and whether an element sits in an edge tile
-                  // depends on n — the batched-vs-single conv bitwise
-                  // equivalence would break.
-                  std::memset(acc, 0,
-                              static_cast<size_t>(mr * nr) * sizeof(float));
+                  // Edge tile (short, or a conv tile straddling samples):
+                  // run the microkernel on a padded scratch tile seeded
+                  // with the live C values, so each element sees exactly
+                  // the full-tile arithmetic. Merging a zero-based partial
+                  // instead would round differently on later KC blocks,
+                  // and whether an element sits in an edge tile depends on
+                  // n — the batched-vs-single conv bitwise equivalence
+                  // would break. A first block overwrites the whole tile,
+                  // so only later blocks of a short tile zero the padding.
                   if (!first) {
-                    for (int64_t r = 0; r < mrr; ++r)
-                      for (int64_t j = 0; j < nrr; ++j)
-                        acc[r * nr + j] = cdst[r * n + j];
+                    if (mrr < mr || nrr < nr) {
+                      std::memset(acc, 0,
+                                  static_cast<size_t>(mr * nr) * sizeof(float));
+                    }
+                    for (int64_t r = 0; r < mrr; ++r) {
+                      for (int q = 0; q < n_runs; ++q) {
+                        const float* src = crow + r * ldc + runs[q].off;
+                        float* dst = acc + r * nr + runs[q].jj;
+                        for (int64_t t = 0; t < runs[q].len; ++t) dst[t] = src[t];
+                      }
+                    }
                   }
                   uk.fn(kc, ap, bp, acc, nr, first);
-                  for (int64_t r = 0; r < mrr; ++r)
-                    for (int64_t j = 0; j < nrr; ++j)
-                      cdst[r * n + j] = acc[r * nr + j];
+                  for (int64_t r = 0; r < mrr; ++r) {
+                    const float bv = epilogue ? bias_of(r) : 0.0f;
+                    for (int q = 0; q < n_runs; ++q) {
+                      const float* src = acc + r * nr + runs[q].jj;
+                      float* dst = crow + r * ldc + runs[q].off;
+                      for (int64_t t = 0; t < runs[q].len; ++t)
+                        dst[t] = epilogue ? src[t] + bv : src[t];
+                    }
+                  }
                 }
               }
             }
@@ -1219,6 +1397,61 @@ void Run(Kernel kernel, Layout layout, const float* a, const float* b,
       RunBlockedEngine(layout, a, b, c, m, k, n, accumulate, SimdMicro());
       return;
   }
+}
+
+void Im2Col(const ConvGeom& g, const float* x, float* col) {
+  const int64_t cols = g.cols();
+  const PaddedInput xp(g, x);
+  ParallelFor(
+      ThreadPool::Global(), g.ckk(),
+      [&](int64_t rb, int64_t re) {
+        GatherIm2Col(g, xp, rb, re - rb, 0, cols, col + rb * cols, cols);
+      },
+      std::max<int64_t>(1, 4096 / std::max<int64_t>(1, cols)));
+}
+
+void RunConv(Kernel kernel, Precision precision, const ConvGeom& g,
+             const float* w, const float* x, const float* bias, float* out,
+             Storage* w_storage) {
+  const int64_t m = g.oc, k = g.ckk(), n = g.cols(), ohw = g.ohw();
+  if (m <= 0 || n <= 0) return;
+  if (kernel == Kernel::kSimd && !SimdAvailable()) kernel = Kernel::kBlocked;
+  // k == 0 (an empty kernel) takes the materialized route, where Run
+  // zero-fills the product before the bias lands.
+  if (precision == Precision::kFp32 && kernel != Kernel::kNaive && k > 0) {
+    obs::OpTimer op_timer(obs::OpKind::kGemmKernel,
+                          2.0 * static_cast<double>(m) *
+                              static_cast<double>(k) * static_cast<double>(n));
+    const PaddedInput xp(g, x);
+    const ConvIO io{&g, &xp, bias};
+    RunBlockedEngine(Layout::kNN, w, nullptr, out, m, k, n,
+                     /*accumulate=*/false,
+                     kernel == Kernel::kSimd ? SimdMicro() : ScalarMicro(),
+                     &io);
+    return;
+  }
+  // Materialized route. Pooled scratch: every column element is written by
+  // Im2Col and RunEx(accumulate=false) overwrites the whole staging buffer.
+  storage::Scratch col(k * n);
+  storage::Scratch staged(m * n);
+  Im2Col(g, x, col.data());
+  RunEx(kernel, precision, Layout::kNN, w, col.data(), staged.data(), m, k, n,
+        /*accumulate=*/false, w_storage, nullptr);
+  // Scatter [oc, n*ohw] -> [n, oc, ohw] with the bias; each (sample,
+  // out-channel) row is written by exactly one task.
+  const float* src_all = staged.data();
+  ParallelFor(
+      ThreadPool::Global(), g.n * m,
+      [&](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+          const int64_t s = i / m, o = i % m;
+          const float* src = src_all + o * n + s * ohw;
+          float* dst = out + i * ohw;
+          const float bv = bias ? bias[o] : 0.0f;
+          for (int64_t j = 0; j < ohw; ++j) dst[j] = src[j] + bv;
+        }
+      },
+      std::max<int64_t>(1, 4096 / ohw));
 }
 
 const char* PrecisionName(Precision precision) {

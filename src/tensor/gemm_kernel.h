@@ -129,6 +129,42 @@ void RunEx(Kernel kernel, Precision precision, Layout layout, const float* a,
            bool accumulate, Storage* a_storage = nullptr,
            Storage* b_storage = nullptr);
 
+/// Geometry of a batched 2-D convolution lowered to one GEMM: NCHW input
+/// [n, c, h, w], OIHW kernel [oc, c, kh, kw], output [n, oc, oh, ow]. Its
+/// im2col matrix is [c*kh*kw, n*oh*ow]: row (c, kh, kw), column
+/// (sample, oh, ow); taps outside the padded image read 0.0f.
+struct ConvGeom {
+  int64_t n = 0, c = 0, h = 0, w = 0;  // input
+  int64_t oc = 0, kh = 0, kw = 0;      // kernel
+  int64_t oh = 0, ow = 0;              // output
+  int64_t stride = 1, pad = 0;
+  int64_t ckk() const { return c * kh * kw; }
+  int64_t ohw() const { return oh * ow; }
+  int64_t cols() const { return n * ohw(); }
+};
+
+/// Materializes the whole [ckk, cols] im2col matrix of `x` into `col`,
+/// partitioned over ThreadPool::Global() by rows (disjoint writes, so the
+/// bytes do not depend on the thread count). The conv paths that need an
+/// explicit matrix — the naive kernel, int8, the dW backward — use this;
+/// the implicit path gathers the same values panel by panel.
+void Im2Col(const ConvGeom& g, const float* x, float* col);
+
+/// out[b, o, :] = w[o, :] * im2col(x)[:, sample b] + bias[o] for every
+/// sample b, written straight into the [n, oc, oh*ow] output. `bias` may be
+/// null, which adds 0.0f (so -0 becomes +0 exactly as with a zero bias).
+/// For fp32 with the blocked/simd kernels this is an implicit GEMM: each
+/// packed B panel is gathered straight from `x` and each finished C tile
+/// lands in `out` with the bias added, so no column matrix or staging
+/// buffer exists. The naive kernel (the differential oracle) and int8
+/// materialize the matrix with Im2Col, run RunEx into a [oc, cols] staging
+/// buffer and scatter it. Every route yields the same bits as that
+/// materialized route under the same kernel and precision. `w_storage` is
+/// RunEx's weight cache handle (int8 only).
+void RunConv(Kernel kernel, Precision precision, const ConvGeom& g,
+             const float* w, const float* x, const float* bias, float* out,
+             Storage* w_storage = nullptr);
+
 /// Quantized-weight cache introspection (tests, /metrics mirror these as
 /// dot_gemm_quant_cache_entries / _bytes gauges).
 int64_t QuantCacheEntries();

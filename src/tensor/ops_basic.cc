@@ -1,6 +1,7 @@
 // Elementwise, shape and reduction operators.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "tensor/ops.h"
@@ -14,19 +15,98 @@ using internal::RowMajorStrides;
 
 namespace {
 
-// Broadcast execution plan: per-output-dim input strides (0 on broadcast dims).
+/// A row-major walk over an output shape, coalesced into runs. Size-1 dims
+/// drop out and adjacent dims merge wherever every operand is contiguous
+/// across them, so the innermost merged dim is as long as possible; a
+/// `[B,C,1,1]`-onto-`[B,C,H,W]` add becomes B*C runs of H*W. The output is
+/// row-major (flat index = walk order); operand k steps by stride[d][k].
+template <size_t K>
+struct RunPlan {
+  std::vector<int64_t> shape;                  // merged dims, never empty
+  std::vector<std::array<int64_t, K>> stride;  // per merged dim, per operand
+};
+
+template <size_t K>
+RunPlan<K> MakeRunPlan(const std::vector<int64_t>& shape,
+                       const std::array<const std::vector<int64_t>*, K>& strides) {
+  RunPlan<K> plan;
+  for (size_t d = 0; d < shape.size(); ++d) {
+    if (shape[d] == 1) continue;
+    std::array<int64_t, K> st;
+    for (size_t k = 0; k < K; ++k) st[k] = (*strides[k])[d];
+    if (!plan.shape.empty()) {
+      const std::array<int64_t, K>& prev = plan.stride.back();
+      bool merge = true;
+      for (size_t k = 0; k < K; ++k) merge = merge && prev[k] == st[k] * shape[d];
+      if (merge) {
+        plan.shape.back() *= shape[d];
+        plan.stride.back() = st;
+        continue;
+      }
+    }
+    plan.shape.push_back(shape[d]);
+    plan.stride.push_back(st);
+  }
+  if (plan.shape.empty()) {  // a single element
+    plan.shape.push_back(1);
+    plan.stride.push_back({});
+  }
+  return plan;
+}
+
+/// Calls fn(flat, offsets, len) for each run in row-major order: the run
+/// covers output elements [flat, flat+len), and operand k's element i of
+/// the run is at offsets[k] + i * plan.stride.back()[k].
+template <size_t K, typename Fn>
+void ForEachRun(const RunPlan<K>& plan, Fn fn) {
+  const size_t outer_dims = plan.shape.size() - 1;
+  const int64_t len = plan.shape.back();
+  int64_t runs = 1;
+  for (size_t d = 0; d < outer_dims; ++d) runs *= plan.shape[d];
+  if (len == 0 || runs == 0) return;
+  std::vector<int64_t> idx(outer_dims, 0);
+  std::array<int64_t, K> off{};
+  for (int64_t run = 0; run < runs; ++run) {
+    fn(run * len, off, len);
+    for (size_t d = outer_dims; d-- > 0;) {
+      for (size_t k = 0; k < K; ++k) off[k] += plan.stride[d][k];
+      if (++idx[d] < plan.shape[d]) break;
+      for (size_t k = 0; k < K; ++k) off[k] -= plan.stride[d][k] * plan.shape[d];
+      idx[d] = 0;
+    }
+  }
+}
+
+/// Runs `f(i, x, y)` over a run of two operands whose inner strides are
+/// sa and sb; the broadcast cases (a stride of 0) hoist the shared value.
+template <typename F>
+inline void BinaryRun(const float* x, int64_t sa, const float* y, int64_t sb,
+                      int64_t len, F f) {
+  if (sa == 1 && sb == 1) {
+    for (int64_t i = 0; i < len; ++i) f(i, x[i], y[i]);
+  } else if (sa == 1 && sb == 0) {
+    const float yv = *y;
+    for (int64_t i = 0; i < len; ++i) f(i, x[i], yv);
+  } else if (sa == 0 && sb == 1) {
+    const float xv = *x;
+    for (int64_t i = 0; i < len; ++i) f(i, xv, y[i]);
+  } else {
+    for (int64_t i = 0; i < len; ++i) f(i, x[i * sa], y[i * sb]);
+  }
+}
+
+/// Broadcast execution plan for a binary op: the output shape and the run
+/// walk over it with operands (a, b) (stride 0 on broadcast dims).
 struct BcastPlan {
   std::vector<int64_t> out_shape;
-  std::vector<int64_t> a_stride;
-  std::vector<int64_t> b_stride;
-  bool same = false;  // fast path: identical shapes
+  RunPlan<2> runs;
 };
 
 BcastPlan MakeBcastPlan(const Tensor& a, const Tensor& b) {
   BcastPlan plan;
   if (SameShape(a, b)) {
     plan.out_shape = a.shape();
-    plan.same = true;
+    plan.runs = {{a.numel()}, {{1, 1}}};  // one run
     return plan;
   }
   plan.out_shape = internal::BroadcastShape(a.shape(), b.shape());
@@ -40,13 +120,16 @@ BcastPlan MakeBcastPlan(const Tensor& a, const Tensor& b) {
     }
     return out;
   };
-  plan.a_stride = expand(a.shape());
-  plan.b_stride = expand(b.shape());
+  std::vector<int64_t> a_stride = expand(a.shape());
+  std::vector<int64_t> b_stride = expand(b.shape());
+  plan.runs = MakeRunPlan<2>(plan.out_shape, {&a_stride, &b_stride});
   return plan;
 }
 
 /// Generic broadcasting binary op. `fwd(av,bv)` computes the value;
-/// `dfa`/`dfb` compute local derivatives from the two input values.
+/// `dfa`/`dfb` compute local derivatives from the two input values. Every
+/// element is visited in row-major output order, so a broadcast operand's
+/// gradient accumulates its contributions in that order.
 template <typename F, typename DA, typename DB>
 Tensor BinaryOp(const char* name, const Tensor& a, const Tensor& b, F fwd, DA dfa,
                 DB dfb) {
@@ -55,60 +138,46 @@ Tensor BinaryOp(const char* name, const Tensor& a, const Tensor& b, F fwd, DA df
   const float* ap = a.data();
   const float* bp = b.data();
   float* op = out.data();
-  int64_t n = out.numel();
-  if (plan.same) {
-    for (int64_t i = 0; i < n; ++i) op[i] = fwd(ap[i], bp[i]);
-  } else {
-    size_t nd = plan.out_shape.size();
-    std::vector<int64_t> idx(nd, 0);
-    for (int64_t flat = 0; flat < n; ++flat) {
-      int64_t ai = 0, bi = 0;
-      for (size_t d = 0; d < nd; ++d) {
-        ai += idx[d] * plan.a_stride[d];
-        bi += idx[d] * plan.b_stride[d];
-      }
-      op[flat] = fwd(ap[ai], bp[bi]);
-      for (int64_t d = static_cast<int64_t>(nd) - 1; d >= 0; --d) {
-        if (++idx[d] < plan.out_shape[d]) break;
-        idx[d] = 0;
-      }
-    }
-  }
+  const std::array<int64_t, 2> inner = plan.runs.stride.back();
+  ForEachRun(plan.runs, [&](int64_t flat, const std::array<int64_t, 2>& off,
+                            int64_t len) {
+    float* o = op + flat;
+    BinaryRun(ap + off[0], inner[0], bp + off[1], inner[1], len,
+              [&](int64_t i, float x, float y) { o[i] = fwd(x, y); });
+  });
   Tensor a_cap = a, b_cap = b;
   AttachNode(&out, name, {a, b}, [a_cap, b_cap, plan, dfa, dfb](const Tensor& o) {
     Tensor a = a_cap, b = b_cap;
     const float* gout = o.grad_vec().data();
     const float* ap = a.data();
     const float* bp = b.data();
-    int64_t n = o.numel();
-    if (plan.same) {
-      if (NeedsGrad(a)) {
-        float* ga = a.grad();
-        for (int64_t i = 0; i < n; ++i) ga[i] += gout[i] * dfa(ap[i], bp[i]);
-      }
-      if (NeedsGrad(b)) {
-        float* gb = b.grad();
-        for (int64_t i = 0; i < n; ++i) gb[i] += gout[i] * dfb(ap[i], bp[i]);
-      }
-      return;
+    const std::array<int64_t, 2> inner = plan.runs.stride.back();
+    // Separate passes: a and b never share a gradient buffer unless they
+    // are the same tensor, and then every element still receives its a
+    // contribution before its b contribution.
+    if (NeedsGrad(a)) {
+      float* ga = a.grad();
+      ForEachRun(plan.runs, [&](int64_t flat, const std::array<int64_t, 2>& off,
+                                int64_t len) {
+        const float* g = gout + flat;
+        float* gr = ga + off[0];
+        BinaryRun(ap + off[0], inner[0], bp + off[1], inner[1], len,
+                  [&](int64_t i, float x, float y) {
+                    gr[i * inner[0]] += g[i] * dfa(x, y);
+                  });
+      });
     }
-    size_t nd = plan.out_shape.size();
-    bool need_a = NeedsGrad(a), need_b = NeedsGrad(b);
-    float* ga = need_a ? a.grad() : nullptr;
-    float* gb = need_b ? b.grad() : nullptr;
-    std::vector<int64_t> idx(nd, 0);
-    for (int64_t flat = 0; flat < n; ++flat) {
-      int64_t ai = 0, bi = 0;
-      for (size_t d = 0; d < nd; ++d) {
-        ai += idx[d] * plan.a_stride[d];
-        bi += idx[d] * plan.b_stride[d];
-      }
-      if (need_a) ga[ai] += gout[flat] * dfa(ap[ai], bp[bi]);
-      if (need_b) gb[bi] += gout[flat] * dfb(ap[ai], bp[bi]);
-      for (int64_t d = static_cast<int64_t>(nd) - 1; d >= 0; --d) {
-        if (++idx[d] < plan.out_shape[d]) break;
-        idx[d] = 0;
-      }
+    if (NeedsGrad(b)) {
+      float* gb = b.grad();
+      ForEachRun(plan.runs, [&](int64_t flat, const std::array<int64_t, 2>& off,
+                                int64_t len) {
+        const float* g = gout + flat;
+        float* gr = gb + off[1];
+        BinaryRun(ap + off[0], inner[0], bp + off[1], inner[1], len,
+                  [&](int64_t i, float x, float y) {
+                    gr[i * inner[1]] += g[i] * dfb(x, y);
+                  });
+      });
     }
   });
   return out;
@@ -334,41 +403,36 @@ Tensor Permute(const Tensor& a, std::vector<int64_t> perm) {
   std::vector<int64_t> out_shape(perm.size());
   for (size_t i = 0; i < perm.size(); ++i) out_shape[i] = a.size(perm[i]);
   Tensor out = Tensor::Empty(out_shape);
-  size_t nd = perm.size();
   std::vector<int64_t> in_stride = RowMajorStrides(a.shape());
-  std::vector<int64_t> mapped(nd);  // stride of out-dim d within input
-  for (size_t d = 0; d < nd; ++d) mapped[d] = in_stride[static_cast<size_t>(perm[d])];
+  std::vector<int64_t> mapped(perm.size());  // stride of out-dim d within input
+  for (size_t d = 0; d < perm.size(); ++d) {
+    mapped[d] = in_stride[static_cast<size_t>(perm[d])];
+  }
+  // Out-dims that stay adjacent in the input merge, so an attention head
+  // split [B,L,H,D] -> [B,H,L,D] copies runs of D.
+  RunPlan<1> runs = MakeRunPlan<1>(out_shape, {&mapped});
   const float* ap = a.data();
   float* op = out.data();
-  int64_t n = a.numel();
-  std::vector<int64_t> idx(nd, 0);
-  for (int64_t flat = 0; flat < n; ++flat) {
-    int64_t ai = 0;
-    for (size_t d = 0; d < nd; ++d) ai += idx[d] * mapped[d];
-    op[flat] = ap[ai];
-    for (int64_t d = static_cast<int64_t>(nd) - 1; d >= 0; --d) {
-      if (++idx[d] < out_shape[d]) break;
-      idx[d] = 0;
-    }
-  }
+  const int64_t step = runs.stride.back()[0];
+  ForEachRun(runs, [&](int64_t flat, const std::array<int64_t, 1>& off,
+                       int64_t len) {
+    const float* src = ap + off[0];
+    float* dst = op + flat;
+    for (int64_t i = 0; i < len; ++i) dst[i] = src[i * step];
+  });
   Tensor a_cap = a;
-  AttachNode(&out, "permute", {a},
-             [a_cap, mapped, out_shape, nd](const Tensor& o) {
-               Tensor a = a_cap;
-               float* ga = a.grad();
-               const float* gout = o.grad_vec().data();
-               int64_t n = o.numel();
-               std::vector<int64_t> idx(nd, 0);
-               for (int64_t flat = 0; flat < n; ++flat) {
-                 int64_t ai = 0;
-                 for (size_t d = 0; d < nd; ++d) ai += idx[d] * mapped[d];
-                 ga[ai] += gout[flat];
-                 for (int64_t d = static_cast<int64_t>(nd) - 1; d >= 0; --d) {
-                   if (++idx[d] < out_shape[d]) break;
-                   idx[d] = 0;
-                 }
-               }
-             });
+  AttachNode(&out, "permute", {a}, [a_cap, runs](const Tensor& o) {
+    Tensor a = a_cap;
+    float* ga = a.grad();
+    const float* gout = o.grad_vec().data();
+    const int64_t step = runs.stride.back()[0];
+    ForEachRun(runs, [&](int64_t flat, const std::array<int64_t, 1>& off,
+                         int64_t len) {
+      float* dst = ga + off[0];
+      const float* src = gout + flat;
+      for (int64_t i = 0; i < len; ++i) dst[i * step] += src[i];
+    });
+  });
   return out;
 }
 
@@ -583,22 +647,19 @@ Tensor& AddInPlace_(Tensor& a, const Tensor& b) {
       << " would change the target shape " << a.ShapeString();
   float* ap = a.data();
   const float* bp = b.data();
-  int64_t n = a.numel();
-  if (plan.same) {
-    for (int64_t i = 0; i < n; ++i) ap[i] += bp[i];
-  } else {
-    size_t nd = plan.out_shape.size();
-    std::vector<int64_t> idx(nd, 0);
-    for (int64_t flat = 0; flat < n; ++flat) {
-      int64_t bi = 0;
-      for (size_t d = 0; d < nd; ++d) bi += idx[d] * plan.b_stride[d];
-      ap[flat] += bp[bi];
-      for (int64_t d = static_cast<int64_t>(nd) - 1; d >= 0; --d) {
-        if (++idx[d] < plan.out_shape[d]) break;
-        idx[d] = 0;
-      }
+  const int64_t step = plan.runs.stride.back()[1];
+  ForEachRun(plan.runs, [&](int64_t flat, const std::array<int64_t, 2>& off,
+                            int64_t len) {
+    // The target is row-major over the walk, so its offset is `flat`.
+    float* dst = ap + flat;
+    const float* src = bp + off[1];
+    if (step == 0) {
+      const float v = *src;
+      for (int64_t i = 0; i < len; ++i) dst[i] += v;
+    } else {
+      for (int64_t i = 0; i < len; ++i) dst[i] += src[i * step];
     }
-  }
+  });
   return a;
 }
 

@@ -1,17 +1,20 @@
 // Convolution, pooling and upsampling for NCHW tensors.
 //
-// Conv2d lowers the whole batch to a single GEMM: im2col writes every
-// sample's patch matrix into one [C*KH*KW, B*OH*OW] buffer so the matrix
-// product runs with a long streaming dimension (order-of-magnitude better
-// throughput on one core than per-sample GEMMs). The products route
-// through the blocked/SIMD engine behind internal::Gemm* (DOT_GEMM_KERNEL,
-// see tensor/gemm_kernel.h); per-element results are independent of the
-// batch position, so batched and per-sample convs stay bitwise equal under
-// every kernel. The backward pass recomputes the column buffer
-// (memory-for-time trade-off appropriate to the small PiT images this
-// library trains on).
+// Conv2d lowers the whole batch to a single GEMM, [OC, C*KH*KW] x
+// im2col(x) [C*KH*KW, B*OH*OW], so the product runs with a long streaming
+// dimension (order-of-magnitude better throughput on one core than
+// per-sample GEMMs). gemm::RunConv runs it as an implicit GEMM on the
+// blocked/SIMD kernels: the engine gathers each packed B panel straight
+// from the NCHW input and writes each finished tile straight into the
+// [B, OC, OH*OW] output with the bias added, so no column matrix or
+// staging buffer exists. The naive kernel and int8 precision materialize
+// the column matrix with gemm::Im2Col (the same gather). Per-element
+// results are independent of the batch position, so batched and
+// per-sample convs stay bitwise equal under every kernel. The backward
+// pass materializes the column matrix again for dW (memory-for-time
+// trade-off appropriate to the small PiT images this library trains on).
 //
-// The im2col / col2im / output-scatter loops are partitioned over
+// The col2im and gradient-gather loops are partitioned over
 // ThreadPool::Global() by (sample, channel) — each work item writes a
 // disjoint region of the destination buffer and performs no cross-item
 // reduction, so results are bitwise identical for any thread count (the
@@ -21,25 +24,18 @@
 
 #include "obs/profile.h"
 #include "obs/trace.h"
+#include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
 #include "tensor/ops_internal.h"
 #include "util/thread_pool.h"
 
 namespace dot {
 
+using gemm::ConvGeom;
 using internal::AttachNode;
 using internal::NeedsGrad;
 
 namespace {
-
-struct ConvDims {
-  int64_t n, c, h, w;      // input
-  int64_t oc, kh, kw;      // kernel
-  int64_t oh, ow;          // output
-  int64_t stride, pad;
-  int64_t ckk() const { return c * kh * kw; }
-  int64_t ohw() const { return oh * ow; }
-};
 
 /// Picks a ParallelFor chunk size so each task covers at least
 /// `kMinParallelElems` written elements (`per_item` = elements per item).
@@ -48,33 +44,9 @@ int64_t ChunkFor(int64_t per_item) {
   return std::max<int64_t>(1, kMinParallelElems / std::max<int64_t>(1, per_item));
 }
 
-/// Expands one (sample, channel) plane into the batch column buffer: row r
-/// of the patch matrix lands at col + r * row_stride + col_offset.
-void Im2ColChannel(const float* xc, const ConvDims& d, int64_t c, float* col,
-                   int64_t row_stride, int64_t col_offset) {
-  for (int64_t kh = 0; kh < d.kh; ++kh) {
-    for (int64_t kw = 0; kw < d.kw; ++kw) {
-      float* crow = col + ((c * d.kh + kh) * d.kw + kw) * row_stride + col_offset;
-      for (int64_t oh = 0; oh < d.oh; ++oh) {
-        int64_t ih = oh * d.stride + kh - d.pad;
-        float* dst = crow + oh * d.ow;
-        if (ih < 0 || ih >= d.h) {
-          std::fill(dst, dst + d.ow, 0.0f);
-          continue;
-        }
-        const float* src = xc + ih * d.w;
-        for (int64_t ow = 0; ow < d.ow; ++ow) {
-          int64_t iw = ow * d.stride + kw - d.pad;
-          dst[ow] = (iw >= 0 && iw < d.w) ? src[iw] : 0.0f;
-        }
-      }
-    }
-  }
-}
-
 /// Scatter-adds one (sample, channel) plane's column gradients (strided
 /// layout) back into that plane's input gradient.
-void Col2ImChannel(const float* col, const ConvDims& d, int64_t c,
+void Col2ImChannel(const float* col, const ConvGeom& d, int64_t c,
                    int64_t row_stride, int64_t col_offset, float* gc) {
   for (int64_t kh = 0; kh < d.kh; ++kh) {
     for (int64_t kw = 0; kw < d.kw; ++kw) {
@@ -94,30 +66,11 @@ void Col2ImChannel(const float* col, const ConvDims& d, int64_t c,
   }
 }
 
-/// Fills the batch column buffer [CKK, B*OHW] from an NCHW input,
-/// partitioned over the pool by (sample, channel) plane. Each plane writes
-/// a disjoint set of column-buffer rows/columns, so the result does not
-/// depend on the partitioning.
-void BatchIm2Col(const float* x, const ConvDims& d, float* col) {
-  int64_t total = d.n * d.ohw();
-  int64_t items = d.n * d.c;
-  ParallelFor(
-      ThreadPool::Global(), items,
-      [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          int64_t b = i / d.c, c = i % d.c;
-          Im2ColChannel(x + (b * d.c + c) * d.h * d.w, d, c, col, total,
-                        b * d.ohw());
-        }
-      },
-      ChunkFor(d.kh * d.kw * d.ohw()));
-}
-
 /// Scatters the whole batch's column gradients back into the input
-/// gradient, partitioned like BatchIm2Col. Each (sample, channel) plane
-/// accumulates only into its own gx slice in a fixed loop order.
-void BatchCol2Im(const float* col, const ConvDims& d, float* gx) {
-  int64_t total = d.n * d.ohw();
+/// gradient, partitioned over the pool by (sample, channel) plane. Each
+/// plane accumulates only into its own gx slice in a fixed loop order.
+void BatchCol2Im(const float* col, const ConvGeom& d, float* gx) {
+  int64_t total = d.cols();
   int64_t items = d.n * d.c;
   ParallelFor(
       ThreadPool::Global(), items,
@@ -136,7 +89,7 @@ void BatchCol2Im(const float* col, const ConvDims& d, float* gx) {
 Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias, int64_t stride,
               int64_t padding) {
   DOT_CHECK(x.dim() == 4 && w.dim() == 4) << "Conv2d needs NCHW input and OIHW kernel";
-  ConvDims d;
+  ConvGeom d;
   d.n = x.size(0);
   d.c = x.size(1);
   d.h = x.size(2);
@@ -158,48 +111,26 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias, int64_t stri
   obs::OpTimer op_timer(obs::OpKind::kConv2d,
                         2.0 * static_cast<double>(d.oc) *
                             static_cast<double>(d.ckk()) *
-                            static_cast<double>(d.n * d.ohw()));
+                            static_cast<double>(d.cols()));
   obs::TraceSpan span("conv2d");
 
-  int64_t cols = d.n * d.ohw();
   Tensor out = Tensor::Empty({d.n, d.oc, d.oh, d.ow});
-  {
-    // Pooled scratch: both buffers recycle into the pool at scope exit, so
-    // repeated same-shape convs (every reverse-diffusion step) allocate
-    // nothing fresh. Contents start uninitialized; BatchIm2Col writes every
-    // column element and Gemm(accumulate=false) fully overwrites tmp.
-    storage::Scratch col(d.ckk() * cols);
-    storage::Scratch tmp(d.oc * cols);
-    BatchIm2Col(x.data(), d, col.data());
-    // One GEMM for the whole batch: [OC, CKK] x [CKK, B*OHW]. The weight is
-    // the A operand — its quantized panels are cacheable when serving.
-    internal::GemmEx(w.data(), col.data(), tmp.data(), d.oc, d.ckk(), cols,
-                     false, internal::QuantWeightHandle(w), nullptr);
-    // Scatter [OC, B*OHW] -> [B, OC, OHW], fusing the bias. Each
-    // (sample, out-channel) row is written by exactly one task.
-    const float* bias_ptr = has_bias ? bias.data() : nullptr;
-    float* out_ptr = out.data();
-    const float* tmp_ptr = tmp.data();
-    ParallelFor(
-        ThreadPool::Global(), d.n * d.oc,
-        [&](int64_t begin, int64_t end) {
-          for (int64_t i = begin; i < end; ++i) {
-            int64_t b = i / d.oc, oc = i % d.oc;
-            const float* src = tmp_ptr + oc * cols + b * d.ohw();
-            float* dst = out_ptr + i * d.ohw();
-            float bv = bias_ptr ? bias_ptr[oc] : 0.0f;
-            for (int64_t j = 0; j < d.ohw(); ++j) dst[j] = src[j] + bv;
-          }
-        },
-        ChunkFor(d.ohw()));
-  }
+  // Recording forwards stay fp32 (the grad-mode contract of internal::Gemm).
+  // The weight is the A operand — its quantized panels are cacheable when
+  // serving int8.
+  gemm::RunConv(gemm::ActiveKernel(),
+                GradModeEnabled() ? gemm::Precision::kFp32
+                                  : gemm::ActivePrecision(),
+                d, w.data(), x.data(), has_bias ? bias.data() : nullptr,
+                out.data(), internal::QuantWeightHandle(w));
 
   std::vector<Tensor> inputs = {x, w};
   if (has_bias) inputs.push_back(bias);
   Tensor x_cap = x, w_cap = w, b_cap = bias;
   AttachNode(&out, "conv2d", inputs,
-             [x_cap, w_cap, b_cap, d, has_bias, cols](const Tensor& o) {
+             [x_cap, w_cap, b_cap, d, has_bias](const Tensor& o) {
                Tensor x = x_cap, w = w_cap, b = b_cap;
+               const int64_t cols = d.cols();
                const float* gout = o.grad_vec().data();
                bool need_x = NeedsGrad(x);
                bool need_w = NeedsGrad(w);
@@ -232,7 +163,7 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias, int64_t stri
                }
                if (need_w) {
                  storage::Scratch col(d.ckk() * cols);
-                 BatchIm2Col(x.data(), d, col.data());
+                 gemm::Im2Col(d, x.data(), col.data());
                  // dW += dOut_all * col^T : one GEMM over the long k = B*OHW.
                  internal::GemmTB(gall.data(), col.data(), w.grad(), d.oc, cols,
                                   d.ckk(), true);

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "core/oracle_service.h"
 
@@ -53,7 +54,11 @@ class BatchServingFixture : public ::testing::Test {
     ASSERT_TRUE(trained.TrainStage1(dataset_->split.train).ok());
     ASSERT_TRUE(
         trained.TrainStage2(dataset_->split.train, dataset_->split.val).ok());
-    checkpoint_ = ::testing::TempDir() + "/batch_serving_oracle.bin";
+    // Every TEST runs in its own process (gtest_discover_tests), each
+    // through this suite set-up and tear-down: a per-process name keeps
+    // concurrent processes from loading or deleting each other's file.
+    checkpoint_ = ::testing::TempDir() + "/batch_serving_oracle_" +
+                  std::to_string(::getpid()) + ".bin";
     ASSERT_TRUE(trained.SaveFile(checkpoint_).ok());
   }
   static void TearDownTestSuite() {

@@ -6,8 +6,10 @@
 #include "core/dot_oracle.h"
 
 #include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "eval/metrics.h"
 
@@ -183,7 +185,13 @@ TEST_F(DotOracleFixture, UntrainedOracleRefusesQueries) {
   Result<DotEstimate> est = fresh.Estimate(dataset_->split.test[0].odt);
   EXPECT_FALSE(est.ok());
   EXPECT_TRUE(est.status().IsFailedPrecondition());
-  EXPECT_FALSE(fresh.SaveFile("/tmp/should_not_exist.bin").ok());
+  // A path inside a directory that does not exist: even a save that got
+  // past the precondition could not leave a file behind.
+  EXPECT_FALSE(fresh
+                   .SaveFile(::testing::TempDir() + "/dot_missing_dir_" +
+                             std::to_string(::getpid()) +
+                             "/should_not_exist.bin")
+                   .ok());
 }
 
 TEST_F(DotOracleFixture, Stage2RequiresStage1) {

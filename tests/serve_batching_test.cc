@@ -14,6 +14,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "core/oracle_service.h"
 #include "serve/batcher.h"
@@ -298,7 +299,10 @@ class BatcherOracleFixture : public ::testing::Test {
     ASSERT_TRUE(trained.TrainStage1(dataset_->split.train).ok());
     ASSERT_TRUE(
         trained.TrainStage2(dataset_->split.train, dataset_->split.val).ok());
-    checkpoint_ = ::testing::TempDir() + "/serve_batching_oracle.bin";
+    // Per-process name: every TEST runs this set-up and tear-down in its
+    // own process, possibly concurrently with the others.
+    checkpoint_ = ::testing::TempDir() + "/serve_batching_oracle_" +
+                  std::to_string(::getpid()) + ".bin";
     ASSERT_TRUE(trained.SaveFile(checkpoint_).ok());
   }
   static void TearDownTestSuite() {

@@ -195,6 +195,14 @@ TEST(ServeStressTest, GracefulDrainAnswersInFlightRequests) {
   for (int i = 0; i < kInFlight; ++i) {
     ASSERT_TRUE(client.SendQuery(i, MakeOdt(i)).ok());
   }
+  // The batcher must have admitted at least one of them before the
+  // shutdown starts, or there is nothing in flight for the drain to flush
+  // (a race that failed this test under a loaded `ctest -j`).
+  for (int spin = 0; spin < 10000 && server.batcher_stats().submitted == 0;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(server.batcher_stats().submitted, 1);
   // Shut down while (most of) those are still queued. Drain must answer
   // every admitted request and flush the responses before sockets close.
   std::thread shutdown_thread([&] { server.Shutdown(); });
